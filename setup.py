@@ -17,7 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "networkx>=3.0"],
+    install_requires=["numpy>=1.25", "networkx>=3.0"],
     extras_require={
         # Optional compiled kernel plane (DESIGN.md §9): njit graph/message
         # kernels plus the scipy.sparse.csgraph fallback.  Everything works

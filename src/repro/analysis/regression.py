@@ -10,10 +10,13 @@ into enforceable contracts:
   and fails the gate outright.
 * **Wall-clock gets a relative tolerance** (default ±25%).  Because the
   baseline was recorded on a different machine than CI runs on, ratios are
-  first normalized by the median current/baseline ratio across all records
-  (the machine-speed factor); a single benchmark regressing >25% beyond that
-  shared factor is flagged, while a uniformly slower runner is not.  Pass
-  ``normalize=False`` (CLI ``--no-normalize``) for same-machine comparisons.
+  first divided by the machine-speed factor: the median current/baseline
+  ratio of the largest group of gated records whose ratios agree within the
+  tolerance (:func:`machine_speed_factor`).  A single benchmark regressing
+  >25% beyond that shared factor is flagged, while a uniformly slower runner
+  is not -- and neither are the untouched records when a change speeds up
+  most of the others.  Pass ``normalize=False`` (CLI ``--no-normalize``) for
+  same-machine comparisons.
   Records whose baseline wall time is below ``min_wall_seconds`` (default
   50ms) are exempt from the wall-clock check only: timer jitter at that
   scale routinely exceeds any honest tolerance, and such micro-benchmarks
@@ -33,6 +36,7 @@ is ``"fail"``.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -86,6 +90,8 @@ class RegressionReport:
     wall_tolerance: float = 0.25
     min_wall_seconds: float = 0.05
     speed_factor: float | None = None
+    #: How many wall-clock ratios the speed factor was taken from, of how many.
+    speed_records: tuple[int, int] | None = None
 
     @property
     def status(self) -> str:
@@ -100,6 +106,7 @@ class RegressionReport:
             "wall_tolerance": self.wall_tolerance,
             "min_wall_seconds": self.min_wall_seconds,
             "speed_factor": self.speed_factor,
+            "speed_records": list(self.speed_records) if self.speed_records else None,
             "violations": [violation.as_dict() for violation in self.violations],
             "notes": self.notes,
         }
@@ -111,9 +118,14 @@ class RegressionReport:
             f"({self.checked_records} records, {self.checked_metrics} metrics checked)"
         ]
         if self.speed_factor is not None:
-            lines.append(
-                f"machine-speed normalization factor (median wall ratio): {self.speed_factor:.3f}"
-            )
+            line = f"machine-speed normalization factor: {self.speed_factor:.3f}"
+            if self.speed_records:
+                agreeing, gated = self.speed_records
+                line += (
+                    f" (median wall ratio of the {agreeing} of {gated} gated ratios "
+                    f"that agree within ±{self.wall_tolerance:.0%})"
+                )
+            lines.append(line)
         for violation in self.violations:
             lines.append(
                 f"  VIOLATION [{violation.kind}] {violation.record} :: {violation.metric}: "
@@ -129,6 +141,36 @@ def _numeric(value: object) -> float | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     return float(value)
+
+
+def machine_speed_factor(ratios: Sequence[float], tolerance: float) -> tuple[float, int]:
+    """The current/baseline wall ratio the unchanged records share.
+
+    A slower or faster machine scales every record alike, while a program
+    change moves only the records whose code it touches.  So the factor is
+    taken from the largest group of ratios that agree within the tolerance --
+    no two more than ``1 + tolerance`` apart -- rather than from all of them:
+    a change that speeds up most records leaves the untouched ones grouped at
+    the machine's ratio instead of dragging the factor down until those read
+    as regressions.  The factor is that group's median, so every member lands
+    within the tolerance after normalizing.  Equal-sized groups are decided
+    by the plain median of all ratios (the group whose median is closest to
+    it, then the lower).  Returns the factor and the group's size.
+    """
+    ordered = sorted(ratios)
+    overall = statistics.median(ordered)
+    best_key, best = None, (1.0, 0)
+    end = 0
+    for start, low in enumerate(ordered):
+        end = max(end, start + 1)
+        while end < len(ordered) and ordered[end] <= low * (1.0 + tolerance):
+            end += 1
+        group = ordered[start:end]
+        factor = statistics.median(group)
+        key = (-len(group), abs(math.log(factor / overall)), factor)
+        if best_key is None or key < best_key:
+            best_key, best = key, (factor, len(group))
+    return best
 
 
 def compare_benchmarks(
@@ -154,11 +196,11 @@ def compare_benchmarks(
 
     common = sorted(set(baseline) & set(current))
 
-    # Machine-speed factor: the median wall-clock ratio across the records
-    # that are actually wall-clock gated.  Micro-benchmarks below the floor
-    # are excluded here too -- their ratios measure timer jitter and fixed
-    # call overhead, not machine speed, and would skew the factor the real
-    # benchmarks get normalized by.
+    # Machine-speed factor, from the ratios of the records that are actually
+    # wall-clock gated.  Micro-benchmarks below the floor are excluded here
+    # too -- their ratios measure timer jitter and fixed call overhead, not
+    # machine speed, and would skew the factor the real benchmarks get
+    # normalized by.
     ratios = []
     for name in common:
         for key, base_value in baseline[name].items():
@@ -167,7 +209,10 @@ def compare_benchmarks(
             base_t, cur_t = _numeric(base_value), _numeric(current[name].get(key))
             if base_t and cur_t and base_t >= min_wall_seconds and cur_t > 0:
                 ratios.append(cur_t / base_t)
-    speed_factor = statistics.median(ratios) if (normalize and ratios) else 1.0
+    speed_factor = 1.0
+    if normalize and ratios:
+        speed_factor, agreeing = machine_speed_factor(ratios, wall_tolerance)
+        report.speed_records = (agreeing, len(ratios))
     report.speed_factor = speed_factor
 
     for name in common:

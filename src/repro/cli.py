@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     regress_parser.add_argument(
         "--no-normalize",
         action="store_true",
-        help="disable median machine-speed normalization of wall-clock ratios",
+        help="disable machine-speed normalization of wall-clock ratios",
     )
     regress_parser.add_argument(
         "--min-wall-seconds",

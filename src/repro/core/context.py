@@ -73,8 +73,11 @@ def _estimated_damage(limited: np.ndarray, deltas: Sequence[GraphDelta]) -> np.n
         finite_v = np.isfinite(to_v)
         if delta.old_weight is not None:  # the edge existed: tightness test
             w = delta.old_weight
-            damaged |= finite_u & (np.abs(to_u + w - to_v) < 1e-9)
-            damaged |= finite_v & (np.abs(to_v + w - to_u) < 1e-9)
+            # A tight edge has both ends finite; testing only those rows keeps
+            # inf - inf (and its RuntimeWarning) out of the subtraction.
+            both = finite_u & finite_v
+            at_u, at_v = to_u[both], to_v[both]
+            damaged[both] |= (np.abs(at_u + w - at_v) < 1e-9) | (np.abs(at_v + w - at_u) < 1e-9)
         if delta.weight is not None and (
             delta.old_weight is None or delta.weight < delta.old_weight
         ):  # the edge is new or got cheaper: improvement test

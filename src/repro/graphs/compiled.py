@@ -18,11 +18,13 @@ same three kernels -- multi-source Dijkstra/Bellman-Ford distances, hop-limited
 
 Selection is per kernel: njit when available, else the scipy formulation where
 one is natural (exact distances, BFS levels), else the pure numpy kernel.  The
-weighted hop-limited ``d_h`` has no faster sparse formulation than the numpy
-scatter-min relaxation, so without numba it falls back to
-:func:`repro.graphs.csr._relax_rounds` -- graceful degradation is the contract:
-importing this module never fails, and every public function returns
-bit-identical results on every plane.
+weighted hop-limited ``d_h`` is round-synchronous, which no csgraph search is,
+so without numba it falls back to :func:`repro.graphs.csr._relax_rounds`: a
+sort-free scatter-min (one unbuffered ``np.minimum.at`` per round, a stamp
+array to dedupe the frontier) over L2-sized row blocks of sources, with
+nothing left for a sparse-algebra formulation to win (DESIGN.md §4).
+Graceful degradation is the contract: importing this module never fails, and
+every public function returns bit-identical results on every plane.
 
 **Oracle discipline (DESIGN.md §9).**  The numpy kernels stay pinned as the
 differential-testing oracle exactly the way the scalar message plane anchors
@@ -268,10 +270,9 @@ def bfs_level_matrix(
         return out
     if HAS_SCIPY:
         hops = _csgraph.dijkstra(_scipy_view(csr), indices=src, unweighted=True, limit=limit)
-        levels = np.full(hops.shape, -1, dtype=np.int64)
-        reached = np.isfinite(hops)
-        levels[reached] = hops[reached].astype(np.int64)
-        return levels
+        # ``hops`` is ours: mark unreached cells in place, then cast once.
+        np.copyto(hops, -1.0, where=np.isinf(hops))
+        return hops.astype(np.int64)
     return _numpy_plane.bfs_level_matrix(csr, sources, max_hops)
 
 
@@ -294,9 +295,9 @@ def distance_matrix(csr: CSRAdjacency, sources: Sequence[int]) -> np.ndarray:
 def hop_limited_matrix(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) -> np.ndarray:
     """Compiled :func:`repro.graphs.csr.hop_limited_matrix` (bit-identical).
 
-    Weighted ``d_h`` is inherently round-synchronous; without numba there is
-    no sparse-algebra formulation faster than the numpy scatter-min rounds,
-    so that case falls back to the numpy oracle directly.
+    Weighted ``d_h`` is inherently round-synchronous and csgraph has no
+    hop-limited search, so without numba it runs the numpy oracle's blocked,
+    sort-free scatter-min rounds directly.
     """
     if csr.unit_weights:
         return _levels_as_distances(bfs_level_matrix(csr, sources, hop_limit))

@@ -39,11 +39,19 @@ import numpy as np
 #: overrides it (larger budgets = fewer, bigger chunks).
 _DEFAULT_CHUNK_BYTES = 128 * 1024 * 1024
 
-#: A relaxation round materialises a few same-shaped float64 scratch arrays
-#: (candidates, keys, the chunk matrix itself); the budget is divided by this
-#: factor so peak allocation stays near the budget rather than several times
-#: over it.
+#: A BFS level materialises a few chunk-sized scratch arrays (candidate keys
+#: and their sorted copy) beside the chunk matrix itself; the budget is
+#: divided by this factor so peak allocation stays near the budget rather than
+#: several times over it.  The weighted relaxation's scratch scales with its
+#: row block (:data:`_BLOCK_BYTES`), not with the chunk, so
+#: :class:`~repro.graphs.graph.WeightedGraph` chunks only the unit-weight calls.
 _SCRATCH_FACTOR = 4
+
+#: Row-block size, in bytes of float64 distance matrix, of the weighted
+#: relaxation kernel.  The block and its int64 frontier stamps stay near a
+#: core's L2, where the scatter-min's random reads and writes are cheap;
+#: smaller blocks pay the per-round interpreter overhead more often.
+_BLOCK_BYTES = 2 * 1024 * 1024
 
 #: The plane-dispatched kernel surface: every alternate graph plane
 #: (:mod:`repro.graphs.compiled`) must provide each of these under the same
@@ -137,14 +145,14 @@ def _gather_edges(csr: CSRAdjacency, cols: np.ndarray):
     the concatenation of their CSR rows is ``indices[flat]`` without any
     Python-level loop.
     """
-    starts = csr.indptr[cols]
-    counts = csr.indptr[cols + 1] - starts
-    total = int(counts.sum())
+    starts = csr.indptr.take(cols)
+    counts = csr.indptr.take(cols + 1) - starts
+    boundaries = np.cumsum(counts)
+    total = int(boundaries[-1]) if boundaries.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64), counts
-    boundaries = np.cumsum(counts)
     flat = np.arange(total, dtype=np.int64)
-    flat += np.repeat(starts - np.concatenate(([0], boundaries[:-1])), counts)
+    flat += np.repeat(starts - (boundaries - counts), counts)
     return flat, counts
 
 
@@ -217,51 +225,90 @@ def _relax_rounds(
     value improved in the previous round are relaxed again (their earlier
     relaxations already reached every neighbour), which keeps each round's
     work proportional to the active frontier.
+
+    Sources are relaxed in row blocks of about :data:`_BLOCK_BYTES`, each
+    written in place into the one preallocated ``(len(sources), n)`` result,
+    so the scatter-min's random reads and writes stay in cache and no
+    per-block matrix is ever concatenated.
     """
     n = csr.n
     src = np.asarray(list(sources), dtype=np.int64)
     count = src.shape[0]
     dist = np.full((count, n), np.inf)
-    source_rows = np.arange(count, dtype=np.int64)
-    dist[source_rows, src] = 0.0
-    frontier_rows, frontier_cols = source_rows, src.copy()
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, n)))
+    # Stamps are candidate positions within a round, up to (block rows) x
+    # (directed edges); int64 always holds them (int32 measured no faster).
+    stamp = np.empty(min(rows, count) * n, dtype=np.int64)
+    for start in range(0, count, rows):
+        # A row slice of a C-contiguous matrix: reshape(-1) is a view.
+        block = dist[start : start + rows].reshape(-1)
+        _relax_block(csr, block, src[start : start + rows], max_rounds, stamp)
+    return dist
+
+
+def _relax_block(
+    csr: CSRAdjacency,
+    dist: np.ndarray,
+    sources: np.ndarray,
+    max_rounds: int | None,
+    stamp: np.ndarray,
+) -> None:
+    """Run the synchronous rounds of :func:`_relax_rounds` on one row block.
+
+    ``dist`` is the block's flat ``len(sources) * n`` view (cell ``r * n + v``
+    is ``d(sources[r], v)``), updated in place; ``stamp`` is scratch of at
+    least that length.  The frontier is kept as flat cell keys plus their
+    columns.
+    """
+    n = csr.n
+    cols = sources.copy()
+    keys = np.arange(sources.shape[0], dtype=np.int64) * n + cols
+    dist[keys] = 0.0
     rounds = 0
-    while frontier_cols.size and (max_rounds is None or rounds < max_rounds):
+    while keys.size and (max_rounds is None or rounds < max_rounds):
         rounds += 1
-        frontier_values = dist[frontier_rows, frontier_cols]
-        flat, counts = _gather_edges(csr, frontier_cols)
+        # Frontier values as they stand at the start of the round: the
+        # relaxations below never see a value written in this round.
+        values = dist.take(keys)
+        flat, counts = _gather_edges(csr, cols)
         if flat.size == 0:
             break
-        rows = np.repeat(frontier_rows, counts)
-        cols = csr.indices[flat]
-        candidates = np.repeat(frontier_values, counts) + csr.weights[flat]
-        # Scatter-min of candidates into dist[rows, cols]: sort by target cell,
-        # reduce each group to its minimum, and keep only strict improvements.
-        keys = rows * n + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        candidates = candidates[order]
-        group_starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-        group_keys = keys[group_starts]
-        group_minima = np.minimum.reduceat(candidates, group_starts)
-        rows = group_keys // n
-        cols = group_keys - rows * n
-        improved = group_minima < dist[rows, cols]
-        rows, cols = rows[improved], cols[improved]
-        dist[rows, cols] = group_minima[improved]
-        frontier_rows, frontier_cols = rows, cols
-    return dist
+        targets = np.repeat(keys - cols, counts)
+        targets += csr.indices.take(flat)
+        candidates = np.repeat(values, counts)
+        candidates += csr.weights.take(flat)
+        # Keep the candidates that beat their target's start-of-round value;
+        # the cells they name are exactly the cells this round improves.
+        better = np.flatnonzero(candidates < dist.take(targets))
+        if better.size == 0:
+            break
+        targets = targets.take(better)
+        # Unbuffered scatter-min: duplicate targets all reduce, and min is
+        # exact, so the order of the writes cannot matter.
+        np.minimum.at(dist, targets, candidates.take(better))
+        # Dedupe the next frontier: scatter each candidate's position into
+        # its target's stamp; whichever write lands last, exactly one
+        # position per target reads its own stamp back.
+        position = np.arange(targets.shape[0], dtype=np.int64)
+        stamp[targets] = position
+        keys = targets.take(np.flatnonzero(stamp.take(targets) == position))
+        cols = keys % n
 
 
 def _levels_as_distances(levels: np.ndarray) -> np.ndarray:
     """BFS levels to float distances (``-1`` becomes ``inf``)."""
     dist = levels.astype(np.float64)
-    dist[levels < 0] = np.inf
+    np.copyto(dist, np.inf, where=levels < 0)
     return dist
 
 
 def hop_limited_matrix(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) -> np.ndarray:
-    """``dist[s, v] = d_{hop_limit}(source_s, v)`` (``inf`` outside the ball)."""
+    """``dist[s, v] = d_{hop_limit}(source_s, v)`` (``inf`` outside the ball).
+
+    Unit weights take the BFS fast path; weighted graphs run
+    ``hop_limit`` synchronous rounds of :func:`_relax_rounds`, the
+    sort-free, row-blocked scatter-min (DESIGN.md §4).
+    """
     if csr.unit_weights:
         return _levels_as_distances(bfs_level_matrix(csr, sources, hop_limit))
     return _relax_rounds(csr, sources, hop_limit)
@@ -300,7 +347,7 @@ def chunked_sources(
     The chunk size is derived from the budget rather than a fixed cell count:
     ``chunk x n`` float64 cells times the scratch factor must fit in
     ``byte_budget`` (default :func:`chunk_byte_budget`), so an n = 4096+
-    distance-matrix call peaks near the budget instead of materialising a
+    BFS-level call peaks near the budget instead of materialising a
     multi-GB dense intermediate.  Chunking never changes results -- chunk
     matrices are concatenated -- only the peak allocation.
     """

@@ -402,6 +402,27 @@ class WeightedGraph:
 
         return csr_backend.rows_to_dicts(matrix, float)
 
+    def _source_matrix(self, kernel: str, sources: list[int], *args):
+        """Run the matrix-valued CSR ``kernel`` over ``sources``.
+
+        Unit weights take the BFS leg, whose scratch grows with the number of
+        sources, so their sources are chunked by the byte budget and the
+        chunk matrices concatenated.  The weighted kernels keep their scratch
+        per row block or per source and fill one preallocated result, so they
+        get every source in one call: chunking them would only add a full
+        copy of the result.
+        """
+        from repro.graphs import csr as csr_backend
+
+        run = getattr(self._kernel_plane(), kernel)
+        view = self.csr()
+        if not view.unit_weights:
+            return run(view, sources, *args)
+        chunks = [
+            run(view, chunk, *args) for chunk in csr_backend.chunked_sources(self._n, sources)
+        ]
+        return chunks[0] if len(chunks) == 1 else _np.concatenate(chunks, axis=0)
+
     def hop_limited_distance_matrix(self, sources: Sequence[int], hop_limit: int):
         """``d_{hop_limit}`` as a dense ``(len(sources), n)`` float matrix.
 
@@ -416,15 +437,7 @@ class WeightedGraph:
         if hop_limit < 0:
             raise ValueError("hop_limit must be non-negative")
         if self._use_csr():
-            from repro.graphs import csr as csr_backend
-
-            kernels = self._kernel_plane()
-            view = self.csr()
-            chunks = [
-                kernels.hop_limited_matrix(view, chunk, hop_limit)
-                for chunk in csr_backend.chunked_sources(self._n, sources)
-            ]
-            return chunks[0] if len(chunks) == 1 else _np.concatenate(chunks, axis=0)
+            return self._source_matrix("hop_limited_matrix", sources, hop_limit)
         matrix = _np.full((len(sources), self._n), _np.inf)
         for row, source in enumerate(sources):
             for node, value in self.hop_limited_distances(source, hop_limit).items():
@@ -453,15 +466,7 @@ class WeightedGraph:
         for source in sources:
             self._check_node(source)
         if self._use_csr():
-            from repro.graphs import csr as csr_backend
-
-            kernels = self._kernel_plane()
-            view = self.csr()
-            chunks = [
-                kernels.distance_matrix(view, chunk)
-                for chunk in csr_backend.chunked_sources(self._n, sources)
-            ]
-            return chunks[0] if len(chunks) == 1 else _np.concatenate(chunks, axis=0)
+            return self._source_matrix("distance_matrix", sources)
         matrix = _np.full((len(sources), self._n), _np.inf)
         for row, source in enumerate(sources):
             for node, value in self.dijkstra(source).items():

@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.regression import (
     compare_benchmarks,
     compare_manifests,
+    machine_speed_factor,
     run_regression,
 )
 from repro.experiments import (
@@ -388,6 +389,35 @@ class TestRegressionGate:
         # benchmarks get normalized by.
         report = compare_benchmarks(base, _records(bench_a={"wall_time_seconds": 0.009}))
         assert report.speed_factor == pytest.approx(1.0)
+
+    def test_speedup_of_most_records_leaves_untouched_ones_passing(self):
+        # A change makes five of nine records 1.8-5.5x faster on a machine
+        # 10% slower than the baseline's.  The factor comes from the four
+        # untouched records, which agree with one another; the median of all
+        # nine ratios (0.6) would flag them as 1.83x regressions.
+        ratios = [1.1, 1.1, 1.1, 1.1, 0.6, 0.45, 0.35, 0.27, 0.2]
+        base = [{"name": f"r{i}", "wall_time_seconds": 1.0 + i} for i in range(9)]
+        current = [
+            {"name": f"r{i}", "wall_time_seconds": (1.0 + i) * ratio}
+            for i, ratio in enumerate(ratios)
+        ]
+        report = compare_benchmarks(base, current)
+        assert report.status == "pass"
+        assert report.speed_factor == pytest.approx(1.1)
+        assert report.speed_records == (4, 9)
+        assert sum("improvement" in note for note in report.notes) == 5
+        # A real regression among the untouched records is still caught.
+        current[0]["wall_time_seconds"] = 1.1 * 1.5
+        report = compare_benchmarks(base, current)
+        assert [(v.record, v.kind) for v in report.violations] == [("r0", "wall-clock")]
+
+    def test_speed_factor_group_agrees_within_tolerance(self):
+        factor, size = machine_speed_factor([0.9, 1.0, 1.05, 1.1, 2.0, 2.1], 0.25)
+        assert (factor, size) == (pytest.approx(1.025), 4)
+        # Equal-sized groups: the one whose median is nearest the plain
+        # median of all ratios (1.2) wins.
+        assert machine_speed_factor([1.0, 1.2, 1.5], 0.25) == (pytest.approx(1.1), 2)
+        assert machine_speed_factor([2.0], 0.25) == (2.0, 1)
 
     def test_normalization_can_be_disabled(self):
         current = _records()

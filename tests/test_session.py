@@ -9,6 +9,8 @@ Covers the three guarantees the session API makes:
 * any graph mutation invalidates the whole preprocessing cache.
 """
 
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -533,6 +535,34 @@ class TestDeltaRepair:
         session.remove_edge(u, v)
         session.context()
         assert not session._routers  # topology: plans are rebuilt lazily
+
+    def test_repair_sequence_raises_no_warnings(self):
+        # A weighted 2 x 30 ladder has h < D, so many exploration rows reach
+        # neither end of a mutated rung: the damage estimate must not compute
+        # inf - inf for them (it used to warn "invalid value in subtract").
+        columns = 30
+        graph = WeightedGraph(2 * columns)
+        for column in range(columns):
+            graph.add_edge(column, column + columns, 1 + column % 4)
+            if column + 1 < columns:
+                graph.add_edge(column, column + 1, 1 + (3 * column) % 4)
+                graph.add_edge(column + columns, column + columns + 1, 1 + column % 3)
+        session = HybridSession(graph, ModelConfig(rng_seed=3))
+        session.apsp()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for column in (1, 4, 7, 10):
+                session.update_weight(column, column + columns, 9)
+                session.apsp()
+            session.remove_edge(2, 2 + columns)
+            session.apsp()
+            session.add_edge(2, 2 + columns, 1)
+            result = session.apsp()
+        assert "repaired" in [record.action for record in session.repairs]
+        truth = reference.all_pairs_distances(graph)
+        for a in range(graph.node_count):
+            for b, d in truth[a].items():
+                assert result.distance(a, b) == d
 
     def test_enable_repair_false_always_rebuilds(self, monkeypatch):
         counter = CountingSkeletons(monkeypatch)
